@@ -1,20 +1,20 @@
-// Heavy-edge-matching coarsening — the level builder behind the
-// multilevel and V-cycle engines.
+// Heavy-edge-matching coarsening — the level builder of the V-cycle
+// driver (core/vcycle.h) behind the "vcycle" and "multilevel" engines.
 //
-// Extracted from core/multilevel.cpp so every multilevel-style engine
-// shares one implementation: coarsen_once() contracts a matching of the
-// (multi-)graph into the next coarser PartitionProblem, and
-// build_level_stack() iterates it into an explicit LevelStack — the
-// per-level problems plus the fine->coarse projection arrays the
-// uncoarsening sweep walks back up.
+// coarsen_once() contracts a matching of the (multi-)graph into the next
+// coarser PartitionProblem, and build_level_stack() iterates it into an
+// explicit LevelStack — the per-level problems plus the fine->coarse
+// projection arrays the uncoarsening sweep walks back up.
 //
 // Two match-visit orders are provided:
 //
-//  * kLegacyShuffle reproduces the historical multilevel engine bit for
-//    bit: the visit order is an Rng shuffle, coarse ids are assigned in
-//    that same shuffled order, and the Rng draws happen even for a level
-//    the stall check later discards. The golden-label parity tests in
-//    tests/core/engine_test.cpp pin this path.
+//  * kLegacyShuffle, the "multilevel" preset's order, reproduces the
+//    historical multilevel engine bit for bit: the visit order is an Rng
+//    shuffle, coarse ids are assigned in that same shuffled order, and the
+//    Rng draws happen even for a level the stall check later discards.
+//    The golden-label parity tests in tests/core/engine_test.cpp pin this
+//    path. It stays because it coarsens deeper than kDegreeSorted today
+//    (DESIGN.md section 12.3).
 //  * kDegreeSorted is the determinism-contract order the V-cycle uses:
 //    vertices are visited by descending weighted degree (parallel edges
 //    counted with multiplicity) with ascending-index tie-break. No Rng is

@@ -509,9 +509,9 @@ namespace {
 // Rewrites the outermost RunInfo::engine to the registry name and forwards
 // everything else untouched, so a RunReport attached through the registry
 // carries the name the engine was created under (e.g. "gradient" rather
-// than the Solver's internal "solver"). Nested run_start events (the
-// multilevel driver forwards its coarse Solver's stream) keep their own
-// engine tag. Delivery is already serialized by the engine's TraceSink, so
+// than the Solver's internal "solver", or "multilevel" rather than the
+// V-cycle driver's "vcycle"). Nested run_start events (the V-cycle driver
+// forwards its coarse Solver's stream) keep their own engine tag. Delivery is already serialized by the engine's TraceSink, so
 // the depth counter needs no lock.
 class EngineNameObserver final : public obs::SolverObserver {
  public:

@@ -79,7 +79,8 @@ OptionSpec halo_spec();
 // c1..c4 and distance_exponent of the shared weighted objective.
 std::vector<OptionSpec> weight_specs();
 
-// Built-in engine factories (one adapter per file).
+// Built-in engine factories (one adapter file each, except that
+// engine_vcycle.cpp defines both names of the multilevel driver).
 std::unique_ptr<PartitionEngine> make_gradient_engine();
 std::unique_ptr<PartitionEngine> make_multilevel_engine();
 std::unique_ptr<PartitionEngine> make_vcycle_engine();

@@ -1,6 +1,6 @@
-// "vcycle" engine: heavy-edge coarsening in the pinned visit order,
-// coarse-only gradient descent, banded parallel refinement on uncoarsen
-// (core/vcycle.h) — the registry's million-gate path.
+// The two registry names of the multilevel driver (core/vcycle.h):
+// "vcycle", the million-gate path with its shape knobs exposed, and
+// "multilevel", a fixed preset of the same driver.
 #include <memory>
 #include <string>
 #include <utility>
@@ -12,6 +12,27 @@
 namespace sfqpart::engine_detail {
 
 namespace {
+
+// Threads the context knobs both names share into `options`, runs the
+// driver and reports its shape counters.
+Partition run_vcycle(const Netlist& netlist, const EngineContext& context,
+                     const CompiledConstraints& constraints,
+                     const std::vector<int>* warm, VcycleOptions options,
+                     std::vector<std::pair<std::string, double>>& counters) {
+  options.seed = context.seed;
+  options.coarse.restarts = context.restarts;
+  options.coarse.weights = context.weights;
+  options.threads = context.threads;
+  options.observer = context.observer;
+  options.fixed = constraints.compact_or_null();
+  options.warm = warm;
+  VcycleResult result = vcycle_partition(netlist, context.num_planes, options);
+  counters.emplace_back("levels", result.levels);
+  counters.emplace_back("coarse_gates", result.coarse_gates);
+  counters.emplace_back("refine_moves",
+                        static_cast<double>(result.refine_moves));
+  return std::move(result.partition);
+}
 
 class VcycleAdapter final : public EngineAdapter {
  public:
@@ -41,27 +62,47 @@ class VcycleAdapter final : public EngineAdapter {
       const CompiledConstraints& constraints, const std::vector<int>* warm,
       std::vector<std::pair<std::string, double>>& counters) const override {
     VcycleOptions options;
-    options.seed = context.seed;
-    options.coarse.restarts = context.restarts;
-    options.coarse.weights = context.weights;
-    options.threads = context.threads;
-    options.observer = context.observer;
     options.band = context.band;
     options.coarse_target = context.coarse_target;
     options.max_levels = context.max_levels;
     options.refine.max_passes = context.max_passes;
-    options.fixed = constraints.compact_or_null();
-    options.warm = warm;
     options.refine_style = context.refine_style == "buckets"
                                ? VcycleRefineStyle::kBuckets
                                : VcycleRefineStyle::kBanded;
-    VcycleResult result =
-        vcycle_partition(netlist, context.num_planes, options);
-    counters.emplace_back("levels", result.levels);
-    counters.emplace_back("coarse_gates", result.coarse_gates);
-    counters.emplace_back("refine_moves",
-                          static_cast<double>(result.refine_moves));
-    return std::move(result.partition);
+    return run_vcycle(netlist, context, constraints, warm, options, counters);
+  }
+};
+
+// The "multilevel" preset: shallow coarsening in the Rng-shuffled match
+// order and greedy all-plane refits. Its option list stays fixed (no shape
+// knobs), so job validation and --list-engines accept what they always
+// did.
+class MultilevelAdapter final : public EngineAdapter {
+ public:
+  const char* name() const override { return "multilevel"; }
+  const char* description() const override {
+    return "heavy-edge coarsening + coarse gradient-descent solve + "
+           "projected greedy refinement";
+  }
+  std::vector<OptionSpec> describe_options() const override {
+    std::vector<OptionSpec> specs = {planes_spec(), seed_spec(),
+                                     restarts_spec(), threads_spec(),
+                                     certify_spec()};
+    for (OptionSpec& spec : weight_specs()) specs.push_back(std::move(spec));
+    return specs;
+  }
+
+ protected:
+  StatusOr<Partition> solve(
+      const Netlist& netlist, const EngineContext& context,
+      const CompiledConstraints& constraints, const std::vector<int>* warm,
+      std::vector<std::pair<std::string, double>>& counters) const override {
+    VcycleOptions options;
+    options.coarse_target = 160;
+    options.max_levels = 20;
+    options.order = MatchOrder::kLegacyShuffle;
+    options.refine_style = VcycleRefineStyle::kGreedy;
+    return run_vcycle(netlist, context, constraints, warm, options, counters);
   }
 };
 
@@ -69,6 +110,10 @@ class VcycleAdapter final : public EngineAdapter {
 
 std::unique_ptr<PartitionEngine> make_vcycle_engine() {
   return std::make_unique<VcycleAdapter>();
+}
+
+std::unique_ptr<PartitionEngine> make_multilevel_engine() {
+  return std::make_unique<MultilevelAdapter>();
 }
 
 }  // namespace sfqpart::engine_detail

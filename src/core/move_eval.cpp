@@ -1,5 +1,6 @@
 #include "core/move_eval.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <numeric>
@@ -72,6 +73,21 @@ double MoveEvaluator::delta(int gate, int target) const {
   result += f3_coef_ * variance_delta(plane_area_[us], plane_area_[ut],
                                       problem.area[ug], mean_area_);
   return result;
+}
+
+MoveEvaluator::Move MoveEvaluator::best_move(int gate, int band) const {
+  const int source = label(gate);
+  const int lo = band > 0 ? std::max(0, source - band) : 0;
+  const int hi = band > 0 ? std::min(num_planes_ - 1, source + band)
+                          : num_planes_ - 1;
+  Move best{-1, kImprovementThreshold};
+  for (int target = lo; target <= hi; ++target) {
+    if (target == source) continue;
+    const double d = delta(gate, target);
+    if (d < best.delta) best = {target, d};
+  }
+  if (best.target < 0) best.delta = 0.0;
+  return best;
 }
 
 void MoveEvaluator::apply(int gate, int target) {

@@ -1,8 +1,7 @@
 // Incremental evaluation of single-gate moves against the discrete
 // weighted cost (c1*F1 + c2*F2 + c3*F3; F4 is constant over one-hot
-// assignments). Shared by the greedy refinement pass, the simulated
-// annealer and the multilevel refiner: delta() is O(degree), apply() is
-// O(1).
+// assignments). Shared by the refiners of core/refine.h, the simulated
+// annealer and the eco engine: delta() is O(degree), apply() is O(1).
 #pragma once
 
 #include <cstdint>
@@ -15,6 +14,15 @@ namespace sfqpart {
 
 class MoveEvaluator {
  public:
+  // A move must beat this delta to be taken, so zero-delta oscillation is
+  // impossible and every refiner's cost is strictly non-increasing.
+  static constexpr double kImprovementThreshold = -1e-12;
+
+  struct Move {
+    int target = -1;  // -1: no strictly improving move
+    double delta = 0.0;
+  };
+
   // Keeps references to `model`'s problem; `labels` is copied and evolves
   // through apply().
   MoveEvaluator(const CostModel& model, std::vector<int> labels);
@@ -26,6 +34,12 @@ class MoveEvaluator {
 
   // Weighted-cost change of moving `gate` to `target` (0 when already there).
   double delta(int gate, int target) const;
+
+  // The best strictly improving move of `gate` to a plane at most `band`
+  // planes from its current one (band <= 0: any plane): the first strict
+  // minimum of delta() in ascending target order. The one move scan of
+  // every refiner, so their tie-breaks agree bit for bit.
+  Move best_move(int gate, int band) const;
 
   // Commits the move, updating the incremental aggregates.
   void apply(int gate, int target);

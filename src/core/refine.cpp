@@ -1,13 +1,13 @@
 #include "core/refine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <numeric>
 #include <queue>
 #include <tuple>
 
 #include "core/move_eval.h"
 #include "obs/trace_sink.h"
+#include "util/thread_pool.h"
 
 namespace sfqpart {
 
@@ -15,16 +15,21 @@ RefineResult refine_partition(const CostModel& model, std::vector<int>& labels,
                               Rng& rng, const RefineOptions& options,
                               obs::TraceSink* sink, int restart,
                               const std::vector<int>* fixed) {
-  const int num_gates = model.problem().num_gates;
-  const int num_planes = model.problem().num_planes;
-  assert(static_cast<int>(labels.size()) == num_gates);
-
   MoveEvaluator eval(model, labels);
+  const RefineResult result =
+      refine_partition(eval, rng, options, sink, restart, fixed);
+  labels = eval.labels();
+  return result;
+}
 
+RefineResult refine_partition(MoveEvaluator& eval, Rng& rng,
+                              const RefineOptions& options,
+                              obs::TraceSink* sink, int restart,
+                              const std::vector<int>* fixed) {
   RefineResult result;
   result.initial_cost = eval.current_cost();
 
-  std::vector<int> order(static_cast<std::size_t>(num_gates));
+  std::vector<int> order(static_cast<std::size_t>(eval.num_gates()));
   std::iota(order.begin(), order.end(), 0);
   for (int pass = 0; pass < options.max_passes; ++pass) {
     rng.shuffle(order);
@@ -33,17 +38,9 @@ RefineResult refine_partition(const CostModel& model, std::vector<int>& labels,
       if (fixed != nullptr && (*fixed)[static_cast<std::size_t>(gate)] >= 0) {
         continue;
       }
-      int best_target = eval.label(gate);
-      double best_delta = -1e-12;  // strict improvement only
-      for (int target = 0; target < num_planes; ++target) {
-        const double delta = eval.delta(gate, target);
-        if (delta < best_delta) {
-          best_delta = delta;
-          best_target = target;
-        }
-      }
-      if (best_target != eval.label(gate)) {
-        eval.apply(gate, best_target);
+      const MoveEvaluator::Move move = eval.best_move(gate, 0);
+      if (move.target >= 0) {
+        eval.apply(gate, move.target);
         ++moves_this_pass;
       }
     }
@@ -54,31 +51,88 @@ RefineResult refine_partition(const CostModel& model, std::vector<int>& labels,
     }
     if (moves_this_pass < options.min_moves_per_pass) break;
   }
-  labels = eval.labels();
   result.final_cost = eval.current_cost();
   return result;
 }
 
 namespace {
 
-// Matches refine_partition / vcycle banded refinement: a move must beat
-// this to enter the queue or be applied, so zero-delta oscillation is
-// impossible.
-constexpr double kBucketImprovementThreshold = -1e-12;
+// Proposal grain: coarse levels collapse to one chunk (inline), only the
+// 10^5+-gate levels actually fan out.
+constexpr std::size_t kProposalGrain = 2048;
+// Rough ns per gate of a proposal: a handful of delta() evaluations,
+// each walking the gate's CSR neighbor range.
+constexpr double kProposalItemCost = 60.0;
 
-// One queued candidate move; the min-heap pops the lexicographically
-// smallest (delta, gate, target), so ties in gain resolve by gate then
-// target index — deterministic regardless of insertion order.
+// One parallel proposal sweep: every free gate's best in-band move
+// against the frozen pass-start labels. best_move() only reads the
+// (const) evaluator state and proposal writes are element-wise, so the
+// sweep is bit-identical at any thread count.
+struct ProposalKernel {
+  const MoveEvaluator* eval;
+  std::int32_t* proposal;
+  int band;
+  const int* fixed;  // per-gate fixed plane (-1 = free); null when none
+
+  void operator()(std::size_t, std::size_t begin, std::size_t end) const {
+    for (std::size_t i = begin; i < end; ++i) {
+      proposal[i] = fixed != nullptr && fixed[i] >= 0
+                        ? -1
+                        : eval->best_move(static_cast<int>(i), band).target;
+    }
+  }
+};
+
+// One queued candidate move of bucket_refine; the min-heap pops the
+// lexicographically smallest (delta, gate, target), so ties in gain
+// resolve by gate then target index — deterministic regardless of
+// insertion order.
 using QueuedMove = std::tuple<double, int, int>;
 
 }  // namespace
+
+// Proposals invalidated by an earlier commit of the same pass are skipped,
+// so the applied delta sequence (hence the final labels) never depends on
+// how the proposal sweep was chunked across threads.
+RefineResult banded_refine(MoveEvaluator& eval, int band,
+                           const RefineOptions& options, ThreadPool* pool,
+                           double cost_before, const std::vector<int>* fixed) {
+  const int n = eval.num_gates();
+  RefineResult result;
+  result.initial_cost = cost_before;
+  result.final_cost = cost_before;
+  std::vector<std::int32_t> proposal(static_cast<std::size_t>(n));
+  ProposalKernel kernel{&eval, proposal.data(), band,
+                        fixed != nullptr ? fixed->data() : nullptr};
+  for (int pass = 0; pass < options.max_passes; ++pass) {
+    parallel_chunks(pool, static_cast<std::size_t>(n), kProposalGrain, kernel,
+                    kProposalItemCost);
+    int moves = 0;
+    for (int gate = 0; gate < n; ++gate) {
+      const int target = proposal[static_cast<std::size_t>(gate)];
+      if (target < 0) continue;
+      if (eval.delta(gate, target) < MoveEvaluator::kImprovementThreshold) {
+        eval.apply(gate, target);
+        ++moves;
+      }
+    }
+    result.moves += moves;
+    result.passes = pass + 1;
+    if (moves < options.min_moves_per_pass) break;
+  }
+  // Re-score the final labels instead of accumulating committed deltas
+  // onto cost_before: summed deltas drift from the true cost in floating
+  // point over many passes, and the level report must agree with what a
+  // fresh evaluation of the labels says.
+  if (result.moves > 0) result.final_cost = eval.current_cost();
+  return result;
+}
 
 BucketRefineStats bucket_refine(MoveEvaluator& eval, int band,
                                 const RefineOptions& options,
                                 const std::vector<int>* fixed,
                                 const std::vector<int>* active) {
   const int n = eval.num_gates();
-  const int k = eval.num_planes();
   BucketRefineStats stats;
 
   // Scope mask: movable gates are those not pinned and (when an active
@@ -98,23 +152,11 @@ BucketRefineStats bucket_refine(MoveEvaluator& eval, int band,
     }
   }
 
-  // Best strictly-improving in-band move of one gate ({0, -1} when none);
-  // gain ties resolve to the lowest target plane.
-  const auto best_move = [&](int gate) -> QueuedMove {
-    const int source = eval.label(gate);
-    const int lo = band > 0 ? std::max(0, source - band) : 0;
-    const int hi = band > 0 ? std::min(k - 1, source + band) : k - 1;
-    double best_delta = kBucketImprovementThreshold;
-    int best = -1;
-    for (int target = lo; target <= hi; ++target) {
-      if (target == source) continue;
-      const double delta = eval.delta(gate, target);
-      if (delta < best_delta) {
-        best_delta = delta;
-        best = target;
-      }
-    }
-    return {best == -1 ? 0.0 : best_delta, gate, best};
+  // Best strictly-improving in-band move of one gate ({0, gate, -1} when
+  // none).
+  const auto best_move = [&eval, band](int gate) -> QueuedMove {
+    const MoveEvaluator::Move move = eval.best_move(gate, band);
+    return {move.delta, gate, move.target};
   };
 
   std::priority_queue<QueuedMove, std::vector<QueuedMove>,

@@ -1,10 +1,13 @@
-// Greedy discrete refinement of a hardened partition.
+// Discrete refinement of a hardened partition: single-gate moves that
+// reduce the *discrete* weighted cost, scored by the incremental
+// MoveEvaluator. Three refiners share MoveEvaluator::best_move:
 //
-// The paper stops at the argmax of the converged soft assignment. This
-// optional pass (off by default for paper fidelity, see SolverConfig)
-// sweeps gates in random order and applies single-gate moves that reduce
-// the *discrete* weighted cost, using incremental delta evaluation. It is
-// the ablation point A2 of DESIGN.md.
+//  * refine_partition — greedy sweeps in random gate order; the Solver's
+//    optional post-hardening pass (off by default for paper fidelity,
+//    ablation point A2 of DESIGN.md) and the V-cycle's kGreedy refit;
+//  * banded_refine — parallel propose/commit rounds, the V-cycle default;
+//  * bucket_refine — serial FM-style best-gain moves (V-cycle buckets
+//    style, eco engine).
 #pragma once
 
 #include <vector>
@@ -14,6 +17,8 @@
 #include "util/rng.h"
 
 namespace sfqpart {
+
+class ThreadPool;
 
 namespace obs {
 class TraceSink;
@@ -27,7 +32,7 @@ struct RefineOptions {
 
 struct RefineResult {
   int passes = 0;
-  int moves = 0;
+  long long moves = 0;
   double initial_cost = 0.0;
   double final_cost = 0.0;
 };
@@ -35,13 +40,32 @@ struct RefineResult {
 // Improves `labels` in place (compact indices, 0-based planes). When a
 // TraceSink is supplied, one RefinePassEvent per pass is emitted, tagged
 // with `restart` (restart < 0 marks refits outside the restart loop, e.g.
-// the multilevel projection polish). `fixed` (compact-indexed, -1 = free;
+// the V-cycle's kGreedy projection refit). `fixed` (compact-indexed, -1 = free;
 // null = unconstrained) marks gates the pass must not move — the null
 // path is byte-identical to the pre-constraint code.
 RefineResult refine_partition(const CostModel& model, std::vector<int>& labels,
                               Rng& rng, const RefineOptions& options = {},
                               obs::TraceSink* sink = nullptr, int restart = -1,
                               const std::vector<int>* fixed = nullptr);
+// The same sweeps on a caller-owned evaluator, which keeps the labels.
+RefineResult refine_partition(MoveEvaluator& eval, Rng& rng,
+                              const RefineOptions& options,
+                              obs::TraceSink* sink, int restart,
+                              const std::vector<int>* fixed);
+
+// Banded parallel refinement: each pass is a deterministic propose/commit
+// round. A parallel sweep proposes every free gate's best move within
+// +-`band` planes against the frozen pass-start labels (pure reads of
+// `eval`, element-wise writes); a serial commit in ascending gate order
+// then applies each proposal that still improves the evolving labels.
+// Labels are bit-identical at any thread count of `pool` (null = serial).
+// Stops after options.max_passes rounds or once a round commits fewer than
+// options.min_moves_per_pass moves. `cost_before` is the current cost of
+// `eval`: the result's initial_cost, and its final_cost when nothing moves.
+RefineResult banded_refine(MoveEvaluator& eval, int band,
+                           const RefineOptions& options, ThreadPool* pool,
+                           double cost_before,
+                           const std::vector<int>* fixed = nullptr);
 
 struct BucketRefineStats {
   long long moves = 0;

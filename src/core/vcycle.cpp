@@ -8,7 +8,9 @@
 #include "core/coarsen.h"
 #include "core/move_eval.h"
 #include "core/problem_view.h"
+#include "core/refine.h"
 #include "obs/trace_sink.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace sfqpart {
@@ -21,113 +23,14 @@ double ms_since(Clock::time_point start) {
       .count();
 }
 
-// Matches refine.cpp's strict-improvement threshold: a move must beat
-// this to be proposed or committed, so zero-delta oscillation is
-// impossible and the per-level cost is strictly non-increasing.
-constexpr double kImprovementThreshold = -1e-12;
-
-// Proposal grain: coarse levels collapse to one chunk (inline), only the
-// 10^5+-gate levels actually fan out.
-constexpr std::size_t kProposalGrain = 2048;
-// Rough ns per gate of a proposal: a handful of delta() evaluations,
-// each walking the gate's CSR neighbor range.
-constexpr double kProposalItemCost = 60.0;
-
-// One parallel proposal sweep: for every gate, the best strictly
-// improving move within the gain band, evaluated against the frozen
-// pass-start labels. delta() only reads the (const) evaluator state and
-// proposal writes are element-wise, so the sweep is bit-identical at any
-// thread count.
-struct ProposalKernel {
-  const MoveEvaluator* eval;
-  const int* labels;
-  std::int32_t* proposal;
-  int band;
-  int num_planes;
-  const int* fixed;  // per-gate fixed plane (-1 = free); null when none
-
-  void operator()(std::size_t, std::size_t begin, std::size_t end) const {
-    for (std::size_t i = begin; i < end; ++i) {
-      const int gate = static_cast<int>(i);
-      if (fixed != nullptr && fixed[i] >= 0) {
-        proposal[i] = -1;
-        continue;
-      }
-      const int source = labels[i];
-      const int lo = std::max(0, source - band);
-      const int hi = std::min(num_planes - 1, source + band);
-      int best = -1;
-      double best_delta = kImprovementThreshold;
-      for (int target = lo; target <= hi; ++target) {
-        if (target == source) continue;
-        const double delta = eval->delta(gate, target);
-        if (delta < best_delta) {
-          best_delta = delta;
-          best = target;
-        }
-      }
-      proposal[i] = best;
-    }
-  }
-};
-
-struct BandedRefineStats {
-  int passes = 0;
-  long long moves = 0;
-  double cost_after = 0.0;  // full re-evaluation of the final labels
-};
-
-// Propose in parallel, commit serially in ascending gate order. The
-// commit re-evaluates each proposal against the labels as they evolve
-// within the pass, applying only the still-improving ones — proposals
-// invalidated by an earlier commit are simply skipped, and the applied
-// delta sequence (hence the final labels) never depends on how the
-// proposal sweep was chunked across threads.
-BandedRefineStats banded_refine(MoveEvaluator& eval, int band,
-                                const RefineOptions& options, ThreadPool* pool,
-                                double cost_before,
-                                const std::vector<int>* fixed) {
-  const int n = eval.num_gates();
-  const int k = eval.num_planes();
-  BandedRefineStats stats;
-  stats.cost_after = cost_before;
-  std::vector<std::int32_t> proposal(static_cast<std::size_t>(n));
-  for (int pass = 0; pass < options.max_passes; ++pass) {
-    ProposalKernel kernel{&eval,
-                          eval.labels().data(),
-                          proposal.data(),
-                          band,
-                          k,
-                          fixed != nullptr ? fixed->data() : nullptr};
-    parallel_chunks(pool, static_cast<std::size_t>(n), kProposalGrain, kernel,
-                    kProposalItemCost);
-    int moves = 0;
-    for (int gate = 0; gate < n; ++gate) {
-      const int target = proposal[static_cast<std::size_t>(gate)];
-      if (target < 0) continue;
-      const double delta = eval.delta(gate, target);
-      if (delta < kImprovementThreshold) {
-        eval.apply(gate, target);
-        ++moves;
-      }
-    }
-    ++stats.passes;
-    stats.moves += moves;
-    if (moves < options.min_moves_per_pass) break;
-  }
-  // Re-score the final labels instead of accumulating committed deltas
-  // onto cost_before: summed deltas drift from the true cost in floating
-  // point over many passes, and the level report must agree with what a
-  // fresh evaluation of the labels says.
-  if (stats.moves > 0) stats.cost_after = eval.current_cost();
-  return stats;
-}
-
 }  // namespace
 
 VcycleResult vcycle_partition(const Netlist& netlist, int num_planes,
                               const VcycleOptions& options) {
   assert(num_planes >= 2);
+  // Drawn by the kLegacyShuffle matching, then by the kGreedy refits;
+  // the other settings never touch it.
+  Rng rng(options.seed);
   obs::TraceSink sink(options.observer);
 
   PartitionProblem finest = PartitionProblem::from_netlist(netlist, num_planes);
@@ -138,7 +41,7 @@ VcycleResult vcycle_partition(const Netlist& netlist, int num_planes,
     info.num_planes = num_planes;
     info.restarts = options.coarse.restarts;
     info.seed = options.seed;
-    info.refine = true;  // banded refinement always runs on uncoarsen
+    info.refine = true;  // projection refinement always runs
     info.weights = options.coarse.weights;
     info.gradient_style = options.coarse.gradient_style;
     info.learning_rate = options.coarse.optimizer.learning_rate;
@@ -150,9 +53,6 @@ VcycleResult vcycle_partition(const Netlist& netlist, int num_planes,
     sink.run_start(info);
   }
 
-  // Coarsen in the pinned kDegreeSorted order: level shape is a pure
-  // function of the graph — no Rng draw, no dependence on thread count
-  // or on what earlier stages consumed.
   LevelStack stack;
   {
     obs::ScopedTimer timer(&sink, "coarsen");
@@ -163,10 +63,10 @@ VcycleResult vcycle_partition(const Netlist& netlist, int num_planes,
     CoarsenOptions coarsen_options;
     coarsen_options.coarse_target = options.coarse_target;
     coarsen_options.max_levels = options.max_levels;
-    coarsen_options.order = MatchOrder::kDegreeSorted;
+    coarsen_options.order = options.order;
     Clock::time_point level_start = Clock::now();
     stack = build_level_stack(
-        finest, coarsen_options, nullptr,
+        finest, coarsen_options, &rng,
         [&sink, &level_start](int level, const PartitionProblem& coarse) {
           const double elapsed = ms_since(level_start);
           level_start = Clock::now();
@@ -184,8 +84,8 @@ VcycleResult vcycle_partition(const Netlist& netlist, int num_planes,
   const PartitionProblem& coarsest = stack.coarsest(finest);
 
   // Restrict the warm start down the stack: a coarse vertex inherits the
-  // first (lowest fine index) assigned label among its children. The
-  // restriction is deterministic and Rng-free, like the coarsening order.
+  // first (lowest fine index) assigned label among its children. No Rng
+  // draw, so the kLegacyShuffle sequence is untouched.
   std::vector<int> warm_restricted;
   const std::vector<int>* coarse_warm = options.warm;
   if (options.warm != nullptr) {
@@ -224,13 +124,13 @@ VcycleResult vcycle_partition(const Netlist& netlist, int num_planes,
     coarse_config.fixed_labels = stack.coarsest_fixed(options.fixed);
     coarse_config.warm_labels = coarse_warm;
     // Inputs were validated by the engine adapter; failure here is a
-    // programmer bug, mirroring the multilevel driver.
+    // programmer bug.
     labels = Solver(coarse_config).solve(coarsest).value().labels;
   }
 
-  // Uncoarsen: project, then banded parallel refinement per level. The
-  // pool is shared by the proposal sweeps and the cost-model reductions;
-  // per the executor's determinism contract it changes wall-clock only.
+  // Uncoarsen: project, then refine per level. The pool is shared by the
+  // proposal sweeps and the cost-model reductions; per the executor's
+  // determinism contract it changes wall-clock only.
   const int threads = options.threads == 0 ? ThreadPool::hardware_concurrency()
                                            : std::max(1, options.threads);
   std::unique_ptr<ThreadPool> pool;
@@ -256,17 +156,25 @@ VcycleResult vcycle_partition(const Netlist& netlist, int num_planes,
       model.set_thread_pool(pool.get());
       MoveEvaluator eval(model, std::move(fine_labels));
       const double projected_cost = eval.current_cost();
-      BandedRefineStats stats;
-      if (options.refine_style == VcycleRefineStyle::kBuckets) {
-        const BucketRefineStats bucket =
-            bucket_refine(eval, options.band, options.refine, fine_fixed);
-        stats.moves = bucket.moves;
-        stats.cost_after = bucket.cost_after;
-      } else {
-        stats = banded_refine(eval, options.band, options.refine, pool.get(),
-                              projected_cost, fine_fixed);
+      RefineResult refined;
+      switch (options.refine_style) {
+        case VcycleRefineStyle::kBanded:
+          refined = banded_refine(eval, options.band, options.refine,
+                                  pool.get(), projected_cost, fine_fixed);
+          break;
+        case VcycleRefineStyle::kBuckets: {
+          const BucketRefineStats bucket =
+              bucket_refine(eval, options.band, options.refine, fine_fixed);
+          refined.moves = bucket.moves;
+          refined.final_cost = bucket.cost_after;
+          break;
+        }
+        case VcycleRefineStyle::kGreedy:
+          refined = refine_partition(eval, rng, options.refine, &sink, -1,
+                                     fine_fixed);
+          break;
       }
-      result.refine_moves += stats.moves;
+      result.refine_moves += refined.moves;
       labels = eval.labels();
 
       if (sink.enabled()) {
@@ -276,8 +184,8 @@ VcycleResult vcycle_partition(const Netlist& netlist, int num_planes,
         event.num_edges = static_cast<long long>(fine.edges.size());
         event.refine_ms = ms_since(level_start);
         event.projected_cost = projected_cost;
-        event.refined_cost = stats.cost_after;
-        event.refine_moves = static_cast<int>(stats.moves);
+        event.refined_cost = refined.final_cost;
+        event.refine_moves = static_cast<int>(refined.moves);
         sink.level(event);
       }
     }

@@ -2,13 +2,17 @@
 
 // EngineRegistry contract and golden-label parity.
 //
-// The golden arrays below were captured from the PRE-refactor entry points
-// (Solver::run, multilevel_partition, anneal_partition, fm_kway_partition,
+// The ksa4 golden arrays below were captured from the entry points the
+// engines had before the registry existed (Solver::run, the standalone
+// multilevel driver, anneal_partition, fm_kway_partition,
 // layered_partition, random_partition) on ksa4 at K = 3, seed = 1, all
-// other options at their defaults, immediately before the engines were
-// ported to the registry. Each registry engine must reproduce its
-// pre-refactor labels bit for bit — if one of these tests fails, an
-// adapter silently changed an engine's option threading or seeding.
+// other options at their defaults. Each registry engine must reproduce
+// those labels bit for bit — if one of these tests fails, an adapter
+// silently changed an engine's option threading or seeding. ksa4 (62
+// gates) is below every coarsening floor, so its multilevel labels equal
+// the gradient ones; the c3540 cases in engine_golden_test.cpp pin the
+// coarsen -> coarse solve -> project + refine path of the multilevel and
+// vcycle engines.
 #include <algorithm>
 #include <iterator>
 #include <string>

@@ -1,5 +1,7 @@
 #include "core/move_eval.h"
 
+#include <cstdlib>
+
 #include <gtest/gtest.h>
 
 #include "util/rng.h"
@@ -150,6 +152,40 @@ TEST(MoveEvaluator, DeltaRespectsDistanceExponent) {
   // Moving gate 1 to plane 3: distance 0 -> 3, cost (3/3)^4 / 1 = 1.
   EXPECT_NEAR(eval.delta(1, 3), 1.0, 1e-12);
   EXPECT_NEAR(eval.delta(1, 1), 1.0 / 81.0, 1e-12);
+}
+
+// best_move is the first strict minimum of delta() below the shared
+// threshold, in ascending target order, inside the band (band <= 0: all
+// planes); no improving move reads as {-1, 0.0}.
+TEST(MoveEvaluator, BestMoveIsTheFirstStrictMinimumInBand) {
+  const int num_gates = 40;
+  const int num_planes = 6;
+  const PartitionProblem problem = random_problem(num_gates, num_planes, 31);
+  const CostModel model(problem, CostWeights{});
+  Rng rng(32);
+  const MoveEvaluator eval(model, random_labels(num_gates, num_planes, rng));
+  int improving = 0;
+  for (const int band : {0, 1, 2}) {
+    for (int gate = 0; gate < num_gates; ++gate) {
+      const int source = eval.label(gate);
+      int expected = -1;
+      double expected_delta = MoveEvaluator::kImprovementThreshold;
+      for (int target = 0; target < num_planes; ++target) {
+        if (target == source) continue;
+        if (band > 0 && std::abs(target - source) > band) continue;
+        const double d = eval.delta(gate, target);
+        if (d < expected_delta) {
+          expected_delta = d;
+          expected = target;
+        }
+      }
+      const MoveEvaluator::Move move = eval.best_move(gate, band);
+      EXPECT_EQ(move.target, expected) << "gate " << gate << " band " << band;
+      EXPECT_EQ(move.delta, expected < 0 ? 0.0 : expected_delta);
+      improving += expected >= 0;
+    }
+  }
+  EXPECT_GT(improving, 0);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include "baseline/annealing.h"
 #include "baseline/fm_kway.h"
 #include "core/engine.h"
-#include "core/multilevel.h"
 #include "core/solver.h"
 #include "gen/suite.h"
 
@@ -247,13 +246,28 @@ TEST(Observer, SolverErrorsEmitNoEvents) {
   }
 }
 
+// Runs the registry "multilevel" engine (the V-cycle preset) with
+// `recorder` attached; certification is off so run_end closes the stream.
+EngineRun run_multilevel(const Netlist& netlist, std::uint64_t seed,
+                         Recorder& recorder) {
+  const auto engine = EngineRegistry::create("multilevel");
+  EXPECT_TRUE(engine.is_ok()) << engine.status().message();
+  EngineContext context;
+  context.num_planes = 4;
+  context.seed = seed;
+  context.certify = false;
+  context.observer = &recorder;
+  auto run = (*engine)->run(netlist, context);
+  EXPECT_TRUE(run.is_ok()) << run.status().message();
+  return run.is_ok() ? std::move(*run) : EngineRun{};
+}
+
 TEST(Observer, MultilevelEmitsLevelsAndForwardsCoarseSolve) {
   const Netlist netlist = build_mapped("ksa16");
   Recorder recorder;
-  MultilevelOptions options;
-  options.observer = &recorder;
-  const MultilevelResult result = multilevel_partition(netlist, 4, options);
-  EXPECT_GT(result.levels, 0);
+  const EngineRun result = run_multilevel(netlist, 1, recorder);
+  const int coarsened = static_cast<int>(result.counter("levels"));
+  EXPECT_GT(coarsened, 0);
 
   int levels = 0;
   bool saw_projection_refit = false;
@@ -261,7 +275,10 @@ TEST(Observer, MultilevelEmitsLevelsAndForwardsCoarseSolve) {
     if (e.type == "level") ++levels;
     if (e.type == "refine_pass" && e.restart < 0) saw_projection_refit = true;
   }
-  EXPECT_EQ(levels, result.levels + 1);  // finest level 0 + each coarsening
+  // The V-cycle's two LevelEvents per coarsened level (shape on the way
+  // down, refit on the way up) plus the coarsest level's shape; RunReport
+  // merges them into coarsened + 1 entries.
+  EXPECT_EQ(levels, 2 * coarsened + 1);
   EXPECT_TRUE(saw_projection_refit);
   // The outer drive announces itself first, then the coarse Solver
   // (which inherits the observer) nests its own run inside.
@@ -270,6 +287,18 @@ TEST(Observer, MultilevelEmitsLevelsAndForwardsCoarseSolve) {
   EXPECT_EQ(recorder.infos[1].engine, "solver");
   EXPECT_EQ(recorder.events.front().type, "run_start");
   EXPECT_EQ(recorder.events.back().type, "run_end");
+}
+
+// Regression: the multilevel engine used to seed only its driver Rng, so
+// the nested coarse solve ran with seed 1 whatever the job asked for.
+TEST(Observer, MultilevelSeedsTheCoarseSolve) {
+  const Netlist netlist = build_mapped("ksa16");
+  Recorder recorder;
+  run_multilevel(netlist, 7, recorder);
+  ASSERT_EQ(recorder.infos.size(), 2u);
+  EXPECT_EQ(recorder.infos[0].seed, 7u);
+  EXPECT_EQ(recorder.infos[1].engine, "solver");
+  EXPECT_EQ(recorder.infos[1].seed, 7u);
 }
 
 TEST(Observer, AnnealingEmitsLifecycleAndMoveCounters) {

@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/multilevel.h"
+#include "core/engine.h"
 #include "core/solver.h"
 #include "gen/suite.h"
 #include "metrics/partition_metrics.h"
@@ -128,16 +128,21 @@ TEST(RunReport, JsonRoundTripsThroughTheParser) {
 TEST(RunReport, MultilevelRunRecordsLevels) {
   const Netlist netlist = build_mapped("c3540");
   obs::RunReport report;
-  MultilevelOptions options;
-  options.observer = &report;
-  const MultilevelResult result = multilevel_partition(netlist, 4, options);
-  ASSERT_GT(result.levels, 0);
+  const auto engine = EngineRegistry::create("multilevel");
+  ASSERT_TRUE(engine.is_ok()) << engine.status().message();
+  EngineContext context;
+  context.num_planes = 4;
+  context.observer = &report;
+  const auto run = (*engine)->run(netlist, context);
+  ASSERT_TRUE(run.is_ok()) << run.status().message();
+  const int coarsened = static_cast<int>(run->counter("levels"));
+  ASSERT_GT(coarsened, 0);
 
   // The first run_start wins: the report describes the multilevel-driven
-  // coarse solve, and the levels array mirrors the coarsening.
+  // coarse solve, and the levels array mirrors the coarsening: the down
+  // and up LevelEvents of each level merge into one entry.
   ASSERT_TRUE(report.has_run());
-  EXPECT_EQ(report.levels().size(),
-            static_cast<std::size_t>(result.levels) + 1);
+  EXPECT_EQ(report.levels().size(), static_cast<std::size_t>(coarsened) + 1);
   EXPECT_GT(report.stage_ms("coarsen"), 0.0);
   EXPECT_GT(report.stage_ms("coarse_solve"), 0.0);
   EXPECT_GT(report.stage_ms("uncoarsen"), 0.0);
