@@ -4,21 +4,12 @@
 #include <cmath>
 
 #include "core/simd/dispatch.h"
+#include "core/simd/kernels_common.h"
 #include "core/soft_assign.h"
 #include "util/thread_pool.h"
 
 namespace sfqpart {
 namespace {
-
-double ipow(double base, int exponent) {
-  // Negative exponents would silently evaluate to 1.0 and zero F1's
-  // contribution; the Solver facade rejects them with a Status before any
-  // CostModel exists, direct users fail here.
-  assert(exponent >= 0 && "ipow: negative exponents are not supported");
-  double result = 1.0;
-  for (int i = 0; i < exponent; ++i) result *= base;
-  return result;
-}
 
 // Chunk size of the parallel reductions. The boundaries depend only on the
 // problem size, so per-chunk partials combined in chunk order give the
@@ -222,7 +213,8 @@ void CostModel::init(const CostWeights& weights) {
   for (const double a : problem.area) total_area += a;
   const double mean_bias = total_bias / k;
   const double mean_area = total_area / k;
-  n1_ = static_cast<double>(problem.edges.size()) * ipow(k1, weights.distance_exponent);
+  n1_ = static_cast<double>(problem.edges.size()) *
+        simd::ipow(k1, weights.distance_exponent);
   n2_ = k1 * mean_bias * mean_bias;
   n3_ = k1 * mean_area * mean_area;
   n4_ = static_cast<double>(g) * k1 * k1;
@@ -335,10 +327,6 @@ double CostModel::f1_and_slot_grad(const Aggregates& agg, Workspace& ws) const {
   const std::size_t edge_chunks = chunk_count(edges, kReductionGrain);
   ws.f1_partial.reset(edge_chunks, 1);
   ws.slot_grad.resize(2 * edges);
-  const simd::KernelTable& kt = simd::kernels();
-  const simd::EdgeGradFn fn =
-      (fast_math_ && kt.edge_grad_fast != nullptr) ? kt.edge_grad_fast
-                                                   : kt.edge_grad;
   simd::EdgeGradArgs args{problem().edges.data(),
                           agg.labels.data(),
                           view_->slot_of_first(),
@@ -347,7 +335,7 @@ double CostModel::f1_and_slot_grad(const Aggregates& agg, Workspace& ws) const {
                           weights_.distance_exponent,
                           n1_,
                           style_ == GradientStyle::kAnalytic};
-  EdgeGradBody body{&args, fn, &ws.f1_partial};
+  EdgeGradBody body{&args, simd::kernels().edge_grad, &ws.f1_partial};
   parallel_chunks(pool_, edges, kReductionGrain, body, kEdgePassCost);
   double f1 = 0.0;
   for (std::size_t c = 0; c < edge_chunks; ++c) {
@@ -488,10 +476,6 @@ void CostModel::fused_gradient_pass(const Matrix& w, Matrix& grad,
   }
   const std::size_t gate_chunks = chunk_count(g, kReductionGrain);
   ws.f4_partial.reset(gate_chunks, 1);
-  const simd::KernelTable& kt = simd::kernels();
-  const simd::FusedGateFn fn =
-      (fast_math_ && kt.fused_gate_fast != nullptr) ? kt.fused_gate_fast
-                                                    : kt.fused_gate;
   simd::FusedGateArgs args{w.flat().data(),
                            grad.flat().data(),
                            stride,
@@ -508,7 +492,7 @@ void CostModel::fused_gradient_pass(const Matrix& w, Matrix& grad,
                            weights_.c3 * (2.0 / (kd * n3_)),
                            weights_.c4 * (2.0 / n4_),
                            style_ == GradientStyle::kAnalytic};
-  FusedGateBody body{&args, fn, &ws.f4_partial};
+  FusedGateBody body{&args, simd::kernels().fused_gate, &ws.f4_partial};
   parallel_chunks(pool_, g, kReductionGrain, body, gate_pass_cost(k));
   for (std::size_t c = 0; c < gate_chunks; ++c) {
     terms.f4 += ws.f4_partial.chunk(c)[0];
@@ -531,7 +515,7 @@ void CostModel::scatter_gradient_pass(const Matrix& w, Matrix& grad,
     const auto ua = static_cast<std::size_t>(a);
     const auto ub = static_cast<std::size_t>(b);
     const double delta = agg.labels[ua] - agg.labels[ub];
-    const double magnitude = p * ipow(std::abs(delta), p - 1) / n1_;
+    const double magnitude = p * simd::ipow(std::abs(delta), p - 1) / n1_;
     if (style_ == GradientStyle::kAnalytic) {
       const double signed_term = delta >= 0.0 ? magnitude : -magnitude;
       ws.dlabel[ua] += signed_term;

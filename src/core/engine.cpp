@@ -93,6 +93,17 @@ Status option_value(const OptionSpec& spec, const Json& value, double& out) {
   return Status::ok();
 }
 
+// An int EngineContext knob checked against its OptionSpec range. The
+// bounds come from the spec builders, so validate() (the CLI and library
+// path) and apply_engine_options() (the job path) enforce one range.
+Status check_spec_range(const OptionSpec& spec, const char* field,
+                        int value) {
+  if (value >= spec.min_value && value <= spec.max_value) return Status::ok();
+  return Status::invalid_argument(
+      str_format("%s must be in [%g, %g], got %d", field, spec.min_value,
+                 spec.max_value, value));
+}
+
 // Text value of one validated kString option: must be a JSON string and a
 // member of the spec's closed enum set.
 Status option_text(const OptionSpec& spec, const Json& value,
@@ -126,7 +137,6 @@ Status set_context_field(const std::string& name, double value,
   else if (name == "restarts") context.restarts = static_cast<int>(value);
   else if (name == "threads") context.threads = static_cast<int>(value);
   else if (name == "refine") context.refine = value != 0.0;
-  else if (name == "fast_math") context.fast_math = value != 0.0;
   else if (name == "band") context.band = static_cast<int>(value);
   else if (name == "coarse_target") context.coarse_target = static_cast<int>(value);
   else if (name == "max_levels") context.max_levels = static_cast<int>(value);
@@ -221,18 +231,22 @@ Status apply_engine_options(const std::vector<OptionSpec>& specs,
 }
 
 Status EngineContext::validate() const {
-  if (num_planes < 2) {
-    return Status::invalid_argument(
-        str_format("num_planes must be >= 2, got %d", num_planes));
+  // These three set allocation sizes (a G x K matrix, the restart
+  // streams, the thread pool), so each is capped, not only floored.
+  if (Status status = check_spec_range(engine_detail::planes_spec(),
+                                       "num_planes", num_planes);
+      !status) {
+    return status;
   }
-  if (restarts < 1) {
-    return Status::invalid_argument(
-        str_format("restarts must be >= 1, got %d", restarts));
+  if (Status status = check_spec_range(engine_detail::restarts_spec(),
+                                       "restarts", restarts);
+      !status) {
+    return status;
   }
-  if (threads < 0) {
-    return Status::invalid_argument(
-        str_format("threads must be >= 0 (0 = hardware concurrency), got %d",
-                   threads));
+  if (Status status = check_spec_range(engine_detail::threads_spec(),
+                                       "threads", threads);
+      !status) {
+    return status;
   }
   if (!std::isfinite(weights.c1) || !std::isfinite(weights.c2) ||
       !std::isfinite(weights.c3) || !std::isfinite(weights.c4)) {
@@ -427,13 +441,6 @@ OptionSpec refine_spec() {
   return make_spec("refine", OptionSpec::Type::kBool, 0, -kInf, kInf,
                    "post-hardening greedy refinement (not part of the "
                    "published algorithm)");
-}
-
-OptionSpec fast_math_spec() {
-  return make_spec("fast_math", OptionSpec::Type::kBool, 0, -kInf, kInf,
-                   "reassociated vector reductions in the gradient hot path; "
-                   "trades the bit-identity pin for speed within a tested "
-                   "tolerance (no-op on the scalar kernel tier)");
 }
 
 OptionSpec certify_spec() {

@@ -117,11 +117,6 @@ struct EngineContext {
   // Post-hardening greedy improvement (gradient engine only; not part of
   // the published algorithm).
   bool refine = false;
-  // Reassociated vector reductions in the gradient hot path (gradient
-  // engine only; DESIGN.md section 15). Off keeps the bit-identity pin;
-  // on trades it for lane-parallel accumulation within a tested
-  // tolerance. No-op on the scalar kernel tier.
-  bool fast_math = false;
   // V-cycle shape knobs (vcycle engine only): banded-refinement plane
   // radius, coarsest-level size target, level cap, refinement pass cap.
   int band = 1;

@@ -60,8 +60,6 @@ OptionSpec seed_spec();
 OptionSpec restarts_spec();
 OptionSpec threads_spec();
 OptionSpec refine_spec();
-// fast_math kernel variants (gradient engine).
-OptionSpec fast_math_spec();
 // Independent result certification (core/certify.h); advertised by every
 // engine so the daemon accepts the knob uniformly.
 OptionSpec certify_spec();

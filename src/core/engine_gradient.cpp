@@ -20,10 +20,9 @@ class GradientAdapter final : public EngineAdapter {
            "(the paper's Algorithm 1)";
   }
   std::vector<OptionSpec> describe_options() const override {
-    std::vector<OptionSpec> specs = {planes_spec(),    seed_spec(),
-                                     restarts_spec(),  threads_spec(),
-                                     refine_spec(),    fast_math_spec(),
-                                     certify_spec()};
+    std::vector<OptionSpec> specs = {planes_spec(),   seed_spec(),
+                                     restarts_spec(), threads_spec(),
+                                     refine_spec(),   certify_spec()};
     for (OptionSpec& spec : weight_specs()) specs.push_back(std::move(spec));
     return specs;
   }
@@ -39,7 +38,6 @@ class GradientAdapter final : public EngineAdapter {
     config.seed = context.seed;
     config.threads = context.threads;
     config.refine = context.refine;
-    config.fast_math = context.fast_math;
     config.weights = context.weights;
     config.observer = context.observer;
     config.fixed_labels = constraints.compact_or_null();

@@ -5,16 +5,9 @@
 #include <cmath>
 #include <numeric>
 
+#include "core/simd/kernels_common.h"
+
 namespace sfqpart {
-namespace {
-
-double ipow(double base, int exponent) {
-  double result = 1.0;
-  for (int i = 0; i < exponent; ++i) result *= base;
-  return result;
-}
-
-}  // namespace
 
 MoveEvaluator::MoveEvaluator(const CostModel& model, std::vector<int> labels)
     : model_(&model),
@@ -58,7 +51,8 @@ double MoveEvaluator::delta(int gate, int target) const {
        ++s) {
     const int lj = labels_[static_cast<std::size_t>(neighbor_adj_[s])];
     result += f1_coef_ *
-              (ipow(std::abs(target - lj), p) - ipow(std::abs(source - lj), p));
+              (simd::ipow(std::abs(target - lj), p) -
+               simd::ipow(std::abs(source - lj), p));
   }
   auto variance_delta = [](double from, double to, double moved, double mean) {
     const double from_old = from - mean;

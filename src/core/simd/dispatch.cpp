@@ -106,7 +106,6 @@ struct ProbeResult {
   std::vector<double> slot_grad, grad, stepped_w;
   double f4_agg = 0.0, f4_step = 0.0, f4_fill = 0.0;
   double f1 = 0.0, f1_grad = 0.0, max_abs = 0.0;
-  std::vector<double> clamped;
 
   bool operator==(const ProbeResult& o) const {
     return bits_equal(labels, o.labels) && bits_equal(row_mean, o.row_mean) &&
@@ -114,7 +113,7 @@ struct ProbeResult {
            bits_equal(area_acc, o.area_acc) &&
            bits_equal(slot_grad, o.slot_grad) && bits_equal(grad, o.grad) &&
            bits_equal(stepped_w, o.stepped_w) &&
-           bits_equal(clamped, o.clamped) && bits_equal(f4_agg, o.f4_agg) &&
+           bits_equal(f4_agg, o.f4_agg) &&
            bits_equal(f4_step, o.f4_step) && bits_equal(f4_fill, o.f4_fill) &&
            bits_equal(f1, o.f1) && bits_equal(f1_grad, o.f1_grad) &&
            bits_equal(max_abs, o.max_abs);
@@ -191,8 +190,6 @@ ProbeResult run_probe(const KernelTable& t, const ProbeProblem& p,
   r.bias_acc.insert(r.bias_acc.end(), step_bias.begin(), step_bias.end());
   r.area_acc.insert(r.area_acc.end(), step_area.begin(), step_area.end());
 
-  r.clamped = p.w;
-  t.step_clamp(r.clamped.data(), r.grad.data(), 0, r.clamped.size(), 0.21);
   r.max_abs = t.max_abs(r.grad.data(), 0, r.grad.size());
   return r;
 }

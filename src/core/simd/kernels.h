@@ -6,9 +6,9 @@
 // table of per-ISA implementations (scalar, AVX2, AVX-512), selected once
 // at startup by core/simd/dispatch.h.
 //
-// Contract: every non-fast kernel is BIT-IDENTICAL to the scalar tier.
-// The scalar tier is the exact code the pre-SIMD CostModel ran (moved
-// here verbatim, same compile flags), so golden labels and the
+// Contract: every kernel is BIT-IDENTICAL to the scalar tier. The scalar
+// tier is the exact code the pre-SIMD CostModel ran (moved here
+// verbatim, same compile flags), so golden labels and the
 // scatter-vs-gather A/B are pinned across tiers. Vector tiers keep the
 // guarantee by replaying the scalar accumulation orders exactly:
 //
@@ -24,14 +24,9 @@
 //    scalar tier has no FP contraction — one rounding per operator,
 //    exactly the C expression text. The vector tiers therefore use only
 //    discrete mul/add/sub/div intrinsics and compile with
-//    -ffp-contract=off (FMA intrinsics appear only in *_fast variants).
-//    The dispatch probe (dispatch.h) demotes any tier that fails to
-//    reproduce the scalar bits on this machine, so the guarantee holds
-//    even where a compiler contracts differently.
-//
-// The *_fast entries are the opt-in reassociated variants behind the
-// fast_math engine option: lane-parallel F1/gather accumulation with a
-// tree reduction, tolerance-checked (not bit-pinned) by test.
+//    -ffp-contract=off. The dispatch probe (dispatch.h) demotes any tier
+//    that fails to reproduce the scalar bits on this machine, so the
+//    guarantee holds even where a compiler contracts differently.
 //
 // All W/grad pointers are padded rows, `stride` doubles apart (stride is
 // a multiple of util/matrix.h kRowAlignDoubles, so full-vector row loads
@@ -119,11 +114,9 @@ struct FusedGateArgs {
 using FusedGateFn = void (*)(const FusedGateArgs& args, std::size_t begin,
                              std::size_t end, double* f4_acc);
 
-// Optimizer element-wise passes over the padded flat storage (grad
-// padding lanes are zero by the Matrix writer contract, so both are
-// value-safe over the full stride).
-using StepClampFn = void (*)(double* w, const double* g, std::size_t begin,
-                             std::size_t end, double scale);
+// Optimizer max-abs pass over the padded flat gradient storage (padding
+// lanes are zero by the Matrix writer contract, so it is value-safe over
+// the full stride).
 using MaxAbsFn = double (*)(const double* g, std::size_t begin,
                             std::size_t end);
 
@@ -134,12 +127,7 @@ struct KernelTable {
   F1TermFn f1_term = nullptr;
   EdgeGradFn edge_grad = nullptr;
   FusedGateFn fused_gate = nullptr;
-  StepClampFn step_clamp = nullptr;
   MaxAbsFn max_abs = nullptr;
-  // Reassociated fast_math variants; null means "no fast variant, use the
-  // exact kernel" (the scalar tier has none).
-  EdgeGradFn edge_grad_fast = nullptr;
-  FusedGateFn fused_gate_fast = nullptr;
 };
 
 // Per-tier tables. The scalar table is always available; the vector

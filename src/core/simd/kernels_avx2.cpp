@@ -46,21 +46,6 @@ struct Avx2Ops {
     return _mm256_blendv_pd(b, a, mask);
   }
 
-  // Store the first m lanes (1..3) only.
-  static void store_head(double* p, V v, std::size_t m) {
-    alignas(32) static const long long kRows[7] = {-1, -1, -1, 0, 0, 0, 0};
-    const __m256i mask =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(kRows + 3 - m));
-    _mm256_maskstore_pd(p, mask, v);
-  }
-  // Zero lanes >= m (for the fast-math variance mask).
-  static V zero_tail(V v, std::size_t m) {
-    alignas(32) static const long long kRows[7] = {-1, -1, -1, 0, 0, 0, 0};
-    const __m256i mask =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(kRows + 3 - m));
-    return _mm256_and_pd(v, _mm256_castsi256_pd(mask));
-  }
-
   // In-place 4x4 transpose: r[j] holds gate j's 4 plane values on entry,
   // plane kk's 4 gate values on exit.
   static void transpose(V (&r)[kLanes]) {

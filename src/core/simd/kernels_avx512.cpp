@@ -41,16 +41,6 @@ struct Avx512Ops {
     return _mm512_mask_blend_pd(ge, b, a);  // mask set -> a
   }
 
-  static __mmask8 head_mask(std::size_t m) {
-    return static_cast<__mmask8>((1u << m) - 1u);
-  }
-  static void store_head(double* p, V v, std::size_t m) {
-    _mm512_mask_storeu_pd(p, head_mask(m), v);
-  }
-  static V zero_tail(V v, std::size_t m) {
-    return _mm512_maskz_mov_pd(head_mask(m), v);
-  }
-
   // In-place 8x8 transpose via unpack + 128-bit lane shuffles.
   static void transpose(V (&r)[kLanes]) {
     const V t0 = _mm512_unpacklo_pd(r[0], r[1]);

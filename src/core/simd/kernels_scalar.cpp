@@ -180,13 +180,6 @@ void fused_gate_scalar(const FusedGateArgs& a, std::size_t begin,
   *f4_acc += f4_sum;
 }
 
-void step_clamp_scalar(double* w, const double* g, std::size_t begin,
-                       std::size_t end, double scale) {
-  for (std::size_t i = begin; i < end; ++i) {
-    w[i] = std::clamp(w[i] - scale * g[i], 0.0, 1.0);
-  }
-}
-
 double max_abs_scalar(const double* g, std::size_t begin, std::size_t end) {
   double max_abs = 0.0;
   for (std::size_t i = begin; i < end; ++i) {
@@ -206,9 +199,7 @@ const KernelTable& scalar_kernels() {
     t.f1_term = detail::f1_term_scalar;
     t.edge_grad = detail::edge_grad_scalar;
     t.fused_gate = detail::fused_gate_scalar;
-    t.step_clamp = detail::step_clamp_scalar;
     t.max_abs = detail::max_abs_scalar;
-    // No fast variants: reassociation only pays with vector lanes.
     return t;
   }();
   return table;

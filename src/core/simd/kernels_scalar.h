@@ -21,8 +21,6 @@ double edge_grad_scalar(const EdgeGradArgs& a, std::size_t begin,
                         std::size_t end);
 void fused_gate_scalar(const FusedGateArgs& a, std::size_t begin,
                        std::size_t end, double* f4_acc);
-void step_clamp_scalar(double* w, const double* g, std::size_t begin,
-                       std::size_t end, double scale);
 double max_abs_scalar(const double* g, std::size_t begin, std::size_t end);
 
 }  // namespace sfqpart::simd::detail

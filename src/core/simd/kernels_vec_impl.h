@@ -7,9 +7,9 @@
 //
 //  * The base build targets plain x86-64, which has no FMA instruction,
 //    so the scalar tier's arithmetic is exactly the C expression text —
-//    one rounding per operator, no contraction. The exact vector kernels
+//    one rounding per operator, no contraction. The vector kernels
 //    therefore use discrete mul/add/sub/div intrinsics only; FMA-class
-//    intrinsics are banned outside the *_fast variants.
+//    intrinsics are banned.
 //  * -ffp-contract=off on these TUs makes every scalar C expression here
 //    (block tails, horizontal chains, lane extraction sums) evaluate
 //    exactly like the base-flags scalar TU, so tails can be inlined and
@@ -238,11 +238,9 @@ struct VecKernels {
     return sum;
   }
 
-  template <bool kFast>
-  static double edge_grad_impl(const EdgeGradArgs& a, std::size_t begin,
-                               std::size_t end) {
+  static double edge_grad(const EdgeGradArgs& a, std::size_t begin,
+                          std::size_t end) {
     double sum = 0.0;
-    V sum_v = Ops::zero();  // kFast only: reassociated lane accumulator
     const V exp_v = Ops::set1(static_cast<double>(a.exponent));
     const V n1_v = Ops::set1(a.n1);
     alignas(64) double la[kL];
@@ -261,14 +259,10 @@ struct VecKernels {
       // pow_chain(ad, p-1)'s multiply sequence.
       V chain = Ops::set1(1.0);
       for (int t = 0; t < a.exponent - 1; ++t) chain = Ops::mul(chain, ad);
-      if constexpr (kFast) {
-        sum_v = Ops::add(sum_v, Ops::mul(chain, ad));
-      } else {
-        Ops::store(cbuf, chain);
-        Ops::store(abuf, ad);
-        // Ordered extraction replays the scalar `sum += chain * ad` chain.
-        for (std::size_t j = 0; j < kL; ++j) sum += cbuf[j] * abuf[j];
-      }
+      Ops::store(cbuf, chain);
+      Ops::store(abuf, ad);
+      // Ordered extraction replays the scalar `sum += chain * ad` chain.
+      for (std::size_t j = 0; j < kL; ++j) sum += cbuf[j] * abuf[j];
       const V magnitude = Ops::div(Ops::mul(exp_v, chain), n1_v);
       const V first =
           a.analytic ? Ops::select_ge0(delta, magnitude, Ops::neg(magnitude))
@@ -279,17 +273,12 @@ struct VecKernels {
         a.slot_grad[a.slot_of_second[e + j]] = -fbuf[j];
       }
     }
-    if constexpr (kFast) {
-      alignas(64) double sbuf[kL];
-      Ops::store(sbuf, sum_v);
-      for (std::size_t j = 0; j < kL; ++j) sum += sbuf[j];
-    }
     for (; e < end; ++e) {
       const auto& [ga, gb] = a.edges[e];
       const double delta = a.labels[static_cast<std::size_t>(ga)] -
                            a.labels[static_cast<std::size_t>(gb)];
       const double ad = std::abs(delta);
-      const double chain = pow_chain_local(ad, a.exponent - 1);
+      const double chain = pow_chain(ad, a.exponent - 1);
       sum += chain * ad;
       const double magnitude = a.exponent * chain / a.n1;
       const double first =
@@ -300,20 +289,10 @@ struct VecKernels {
     return sum;
   }
 
-  static double edge_grad(const EdgeGradArgs& a, std::size_t begin,
-                          std::size_t end) {
-    return edge_grad_impl<false>(a, begin, end);
-  }
-  static double edge_grad_fast(const EdgeGradArgs& a, std::size_t begin,
-                               std::size_t end) {
-    return edge_grad_impl<true>(a, begin, end);
-  }
-
   // ---- fused gather / gradient fill / F4 -----------------------------
 
-  template <bool kFast>
-  static void fused_gate_impl(const FusedGateArgs& a, std::size_t begin,
-                              std::size_t end, double* f4_acc) {
+  static void fused_gate(const FusedGateArgs& a, std::size_t begin,
+                         std::size_t end, double* f4_acc) {
     // kPaperEq10 is cold; the scalar tier carries it.
     if (!a.analytic) {
       detail::fused_gate_scalar(a, begin, end, f4_acc);
@@ -434,30 +413,7 @@ struct VecKernels {
     *f4_acc += f4_sum;
   }
 
-  static void fused_gate(const FusedGateArgs& a, std::size_t begin,
-                         std::size_t end, double* f4_acc) {
-    fused_gate_impl<false>(a, begin, end, f4_acc);
-  }
-  static void fused_gate_fast(const FusedGateArgs& a, std::size_t begin,
-                              std::size_t end, double* f4_acc) {
-    fused_gate_impl<true>(a, begin, end, f4_acc);
-  }
-
-  // ---- optimizer flat passes -----------------------------------------
-
-  static void step_clamp(double* w, const double* g, std::size_t begin,
-                         std::size_t end, double scale) {
-    const V scale_v = Ops::set1(scale);
-    std::size_t i = begin;
-    for (; i + kL <= end; i += kL) {
-      const V wv = Ops::loadu(w + i);
-      const V gv = Ops::loadu(g + i);
-      Ops::storeu(w + i, Ops::clamp01(Ops::sub(wv, Ops::mul(scale_v, gv))));
-    }
-    for (; i < end; ++i) {
-      w[i] = std::clamp(w[i] - scale * g[i], 0.0, 1.0);
-    }
-  }
+  // ---- optimizer max-abs pass ----------------------------------------
 
   static double max_abs(const double* g, std::size_t begin, std::size_t end) {
     V acc = Ops::zero();
@@ -477,23 +433,6 @@ struct VecKernels {
     return result;
   }
 
-  // pow_chain clone for the inlined edge tail (same association as
-  // kernels_common.h; duplicated so this header needs no extra include
-  // order care).
-  static double pow_chain_local(double base, int exponent) {
-    switch (exponent) {
-      case 0: return 1.0;
-      case 1: return base;
-      case 2: return base * base;
-      case 3: return (base * base) * base;
-      default: {
-        double result = 1.0;
-        for (int i = 0; i < exponent; ++i) result *= base;
-        return result;
-      }
-    }
-  }
-
   static KernelTable table(const char* name) {
     KernelTable t;
     t.name = name;
@@ -502,10 +441,7 @@ struct VecKernels {
     t.f1_term = f1_term;
     t.edge_grad = edge_grad;
     t.fused_gate = fused_gate;
-    t.step_clamp = step_clamp;
     t.max_abs = max_abs;
-    t.edge_grad_fast = edge_grad_fast;
-    t.fused_gate_fast = fused_gate_fast;
     return t;
   }
 };
