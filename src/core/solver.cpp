@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <utility>
 #include <vector>
 
+#include "core/engine_adapter.h"
 #include "core/soft_assign.h"
 #include "obs/trace_sink.h"
 #include "util/rng.h"
@@ -24,13 +26,20 @@ Status validate(const SolverConfig& config, const PartitionProblem& problem) {
   if (problem.num_gates < 1) {
     return Status::error("Solver: the problem has no partitionable gates");
   }
-  if (config.restarts < 1) {
+  // restarts sizes the per-restart streams and outcomes, threads the
+  // pool: both are capped at the engine registry's spec bounds.
+  const OptionSpec restarts = engine_detail::restarts_spec();
+  if (config.restarts < restarts.min_value ||
+      config.restarts > restarts.max_value) {
     return Status::error(
-        str_format("Solver: restarts must be >= 1 (got %d)", config.restarts));
+        str_format("Solver: restarts must be in [%g, %g] (got %d)",
+                   restarts.min_value, restarts.max_value, config.restarts));
   }
-  if (config.threads < 0) {
+  const OptionSpec threads = engine_detail::threads_spec();
+  if (config.threads < threads.min_value || config.threads > threads.max_value) {
     return Status::error(
-        str_format("Solver: threads must be >= 0 (got %d)", config.threads));
+        str_format("Solver: threads must be in [%g, %g] (got %d)",
+                   threads.min_value, threads.max_value, config.threads));
   }
   if (config.weights.distance_exponent < 1) {
     return Status::error(str_format(
@@ -85,11 +94,13 @@ struct RestartOutcome {
 
 }  // namespace
 
-Solver::Solver(SolverConfig config) : config_(std::move(config)) {
-  if (config_.threads >= 0 && effective_threads() > 1) {
-    pool_ = std::make_unique<ThreadPool>(effective_threads());
-  }
-}
+struct Solver::LazyPool {
+  std::once_flag once;
+  std::unique_ptr<ThreadPool> pool;
+};
+
+Solver::Solver(SolverConfig config)
+    : config_(std::move(config)), pool_(std::make_unique<LazyPool>()) {}
 
 Solver::~Solver() = default;
 Solver::Solver(Solver&&) noexcept = default;
@@ -100,11 +111,20 @@ int Solver::effective_threads() const {
   return std::max(1, config_.threads);
 }
 
+ThreadPool* Solver::pool() const {
+  if (pool_ == nullptr || effective_threads() <= 1) return nullptr;  // moved-from or serial
+  std::call_once(pool_->once, [this] {
+    pool_->pool = std::make_unique<ThreadPool>(effective_threads());
+  });
+  return pool_->pool.get();
+}
+
 StatusOr<LabelResult> Solver::solve(const PartitionProblem& problem) const {
   if (Status status = validate(config_, problem); !status) return status;
+  ThreadPool* const pool = this->pool();
 
   CostModel model(problem, config_.weights, config_.gradient_style);
-  model.set_thread_pool(pool_.get());
+  model.set_thread_pool(pool);
 
   obs::TraceSink sink(config_.observer);
 
@@ -149,7 +169,7 @@ StatusOr<LabelResult> Solver::solve(const PartitionProblem& problem) const {
   // seeded RNG streams and the fixed-order reductions, so labels and
   // costs are bit-identical with or without an observer attached.
   constexpr double kRestartCostNs = 1e9;  // whole gradient-descent runs
-  parallel_chunks(pool_.get(), restarts, 1,
+  parallel_chunks(pool, restarts, 1,
                   [&](std::size_t r, std::size_t, std::size_t) {
     const int restart = static_cast<int>(r);
     sink.restart_start({restart});

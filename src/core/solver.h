@@ -138,10 +138,14 @@ class Solver {
   StatusOr<LabelResult> solve(const PartitionProblem& problem) const;
 
  private:
+  // The pool behind restarts and reductions, created by the first solve()
+  // that passes validation with effective_threads() > 1 and shared by
+  // every later one; a rejected config never starts a thread.
+  ThreadPool* pool() const;
+
+  struct LazyPool;
   SolverConfig config_;
-  // Created once when effective_threads() > 1; restarts and reductions
-  // of every run() share it.
-  std::unique_ptr<ThreadPool> pool_;
+  std::unique_ptr<LazyPool> pool_;
 };
 
 }  // namespace sfqpart

@@ -76,6 +76,30 @@ std::string error_line(const std::string& id, const char* status,
   return response.dump(0);
 }
 
+// std::getline with a cap: keeps at most kMaxRequestLineBytes of the
+// line and drops the rest of a longer one as it is read, so no request
+// can make serve() buffer an unbounded line. False at end of input.
+bool read_request_line(std::istream& in, std::string& line, bool& oversized) {
+  using Traits = std::char_traits<char>;
+  line.clear();
+  oversized = false;
+  if (!in) return false;
+  std::streambuf* buf = in.rdbuf();
+  int c = buf->sbumpc();
+  if (c == Traits::eof()) {
+    in.setstate(std::ios::eofbit);
+    return false;
+  }
+  for (; c != Traits::eof() && c != '\n'; c = buf->sbumpc()) {
+    if (line.size() < kMaxRequestLineBytes) {
+      line.push_back(static_cast<char>(c));
+    } else {
+      oversized = true;
+    }
+  }
+  return true;
+}
+
 std::string ok_line(const std::string& id, const char* cache,
                     const std::string& report_str) {
   Json response = base_response(id, "ok");
@@ -456,7 +480,16 @@ void Daemon::serve(std::istream& in, std::ostream& out) {
     out.flush();
   };
   std::string line;
-  while (std::getline(in, line)) {
+  bool oversized = false;
+  while (read_request_line(in, line, oversized)) {
+    if (oversized) {
+      jobs_invalid_.fetch_add(1);
+      sink_.counter("job_invalid", 1);
+      respond(error_line("", "invalid",
+                         str_format("request line longer than %zu bytes",
+                                    kMaxRequestLineBytes)));
+      continue;
+    }
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
     submit_line(line, respond);
     const std::lock_guard<std::mutex> lock(idle_mutex_);

@@ -50,6 +50,12 @@
 
 namespace sfqpart::service {
 
+// Longest request line serve() reads (16 MiB, room for an inline
+// structural-Verilog netlist of ~10^5 gates). The bytes of a longer line
+// past the cap are dropped as they are read, and the line is answered
+// with one "invalid" response line.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{16} << 20;
+
 struct DaemonOptions {
   // Worker threads executing jobs. 0 is a testing mode: nothing ever
   // dispatches, so queue behavior (fill, backpressure) is deterministic.
@@ -99,8 +105,10 @@ class Daemon {
   std::string submit_and_wait(const std::string& line);
 
   // JSON-lines loop: one request per line on `in`, one response line per
-  // request on `out`, written in completion order. Returns after EOF or a
-  // {"cmd": "shutdown"} line, once every accepted job has responded.
+  // request on `out`, written in completion order. Lines longer than
+  // kMaxRequestLineBytes get an error line and serving goes on. Returns
+  // after EOF or a {"cmd": "shutdown"} line, once every accepted job has
+  // responded.
   void serve(std::istream& in, std::ostream& out);
 
   // "sfqpart.daemon_stats.v1": jobs, queue, cache and engine-run counts.

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/engine_adapter.h"
 #include "gen/suite.h"
 #include "obs/observer.h"
 #include "util/thread_pool.h"
@@ -84,6 +85,35 @@ TEST(Solver, RejectsNonFiniteConfigValues) {
   SolverConfig c4;
   c4.weights.c4 = inf;
   EXPECT_FALSE(Solver(c4).run(netlist).is_ok());
+}
+
+// threads and restarts size the thread pool and the per-restart streams,
+// so the facade caps them at the engine registry's spec maxima, and the
+// pool is only created by a solve() that passed validation: an oversized
+// config comes back as a Status without starting a thread.
+TEST(Solver, RejectsOversizedThreadsAndRestartsBeforeStartingAPool) {
+  const Netlist netlist = build_mapped("ksa4");
+  const PartitionProblem problem = PartitionProblem::from_netlist(netlist, 3);
+
+  SolverConfig threads;
+  threads.threads = static_cast<int>(engine_detail::threads_spec().max_value) + 1;
+  const Solver many_threads(threads);
+  const auto threads_status = many_threads.solve(problem);
+  ASSERT_FALSE(threads_status.is_ok());
+  EXPECT_NE(threads_status.status().message().find("threads"), std::string::npos);
+  EXPECT_FALSE(many_threads.run(netlist).is_ok());
+
+  SolverConfig restarts;
+  restarts.restarts = static_cast<int>(engine_detail::restarts_spec().max_value) + 1;
+  const auto restarts_status = Solver(restarts).solve(problem);
+  ASSERT_FALSE(restarts_status.is_ok());
+  EXPECT_NE(restarts_status.status().message().find("restarts"), std::string::npos);
+
+  SolverConfig at_cap;
+  at_cap.restarts = 2;
+  at_cap.threads = 2;
+  at_cap.optimizer.max_iterations = 5;
+  EXPECT_TRUE(Solver(at_cap).solve(problem).is_ok());
 }
 
 TEST(Solver, RejectsProblemWithoutPartitionableGates) {

@@ -264,6 +264,31 @@ TEST(Daemon, ServeSpeaksJsonLinesAndHonorsShutdown) {
   EXPECT_TRUE(saw_shutdown_ack);
 }
 
+// A request line over the cap is dropped as it is read and answered with
+// one error line; the daemon keeps serving the lines after it.
+TEST(Daemon, ServeAnswersAnOversizedLineAndKeepsServing) {
+  std::string input(kMaxRequestLineBytes + 1, 'x');
+  input += "\n" + job_line("after-oversized") + "\n";
+  std::istringstream in(std::move(input));
+  std::ostringstream out;
+  DaemonOptions options;
+  options.workers = 1;
+  Daemon daemon(options);
+  daemon.serve(in, out);
+
+  std::istringstream lines(out.str());
+  std::vector<std::string> responses;
+  for (std::string line; std::getline(lines, line);) responses.push_back(line);
+  ASSERT_EQ(responses.size(), 2u);
+  const Json rejected = parse_response(responses[0]);
+  EXPECT_EQ(rejected.find("status")->as_string(), "invalid");
+  EXPECT_NE(rejected.find("error")->as_string().find("longer than"),
+            std::string::npos);
+  const Json served = parse_response(responses[1]);
+  EXPECT_EQ(served.find("status")->as_string(), "ok");
+  EXPECT_EQ(served.find("id")->as_string(), "after-oversized");
+}
+
 TEST(Daemon, EnginesAdminServesTheCatalog) {
   DaemonOptions options;
   options.workers = 0;
